@@ -12,7 +12,9 @@ import (
 	"log"
 	"time"
 
+	"freemeasure/internal/control"
 	"freemeasure/internal/core"
+	"freemeasure/internal/vnet"
 	"freemeasure/internal/vttif"
 )
 
@@ -69,17 +71,19 @@ func main() {
 		}
 	}
 
-	plan, err := sys.AdaptOnce()
+	ctl, err := sys.NewController(control.Config{})
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("\nVADAPT plan: objective score %.2f, %d migration(s), %d forwarding rule(s)\n",
-		plan.Eval.Score, len(plan.Migrations), len(plan.Rules))
-	for _, m := range plan.Migrations {
-		fmt.Printf("  migrate VM index %d: host %v -> host %v\n", m.VM, m.From, m.To)
+	res := ctl.RunCycle()
+	if res.Err != nil {
+		log.Fatal(res.Err)
 	}
-	if err := sys.Apply(plan); err != nil {
-		log.Fatal(err)
+	fmt.Printf("\nVADAPT cycle: %s\n", res.Summary())
+	for _, st := range res.Plan.Steps {
+		if st.Op == vnet.OpMigrate {
+			fmt.Printf("  migrate VM %s: host %s -> host %s\n", st.MAC, st.A, st.B)
+		}
 	}
 	fmt.Printf("\nafter adaptation: VM2 is now on %q\n", v2.Daemon().Name())
 

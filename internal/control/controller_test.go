@@ -285,6 +285,57 @@ func TestControllerSkipsWithoutDemands(t *testing.T) {
 	}
 }
 
+// TestControllerStartStop: the periodic loop runs cycles until Stop,
+// Stop is idempotent, and no cycle runs after it returns.
+func TestControllerStartStop(t *testing.T) {
+	g := topology.Complete(2, func(a, b topology.NodeID) (float64, float64) { return 10, 1 })
+	snap := &Snapshot{
+		Problem: &vadapt.Problem{Hosts: g, NumVMs: 1},
+		Hosts:   []string{"h1", "h2"},
+		VMs:     []ethernet.MAC{ethernet.VMMAC(0)},
+		Mapping: []topology.NodeID{0},
+	}
+	m := NewMetrics(obs.NewRegistry())
+	c, err := New(Config{Source: &StaticSource{Snap: snap}, Applier: LogApplier{},
+		Interval: 10 * time.Millisecond, Metrics: m})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Start()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		if _, ok := c.LastCycle(); ok {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("no cycle within 10s of Start")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	stopped := make(chan struct{})
+	go func() {
+		c.Stop()
+		c.Stop() // second Stop: no hang, no panic
+		close(stopped)
+	}()
+	select {
+	case <-stopped:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Stop hung")
+	}
+	if res, _ := c.LastCycle(); res.Err != nil {
+		t.Fatalf("last cycle: %s", res.Summary())
+	}
+	n := m.Cycles.Value()
+	if n == 0 {
+		t.Fatal("Cycles metric did not count the loop's cycles")
+	}
+	time.Sleep(50 * time.Millisecond) // five intervals
+	if got := m.Cycles.Value(); got != n {
+		t.Fatalf("cycles ran after Stop: %d -> %d", n, got)
+	}
+}
+
 func TestControllerTearsDownStaleState(t *testing.T) {
 	// Apply a plan for one demand, then sense a world where that demand
 	// vanished and a different pair is talking: the stale rule and link

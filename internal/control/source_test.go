@@ -101,6 +101,25 @@ func TestFusionNilIsInert(t *testing.T) {
 	}
 }
 
+// TestPathEstimateComposition: unmeasured pairs get the defaults, the
+// two star legs through the hub compose as bottleneck bandwidth and summed
+// latency, and a direct measurement of the pair wins over both.
+func TestPathEstimateComposition(t *testing.T) {
+	src, view := fusionView(nil)
+	if bw, lat := src.PathEstimate("a", "b"); bw != 100 || lat != 1 {
+		t.Fatalf("default estimate = %v/%v, want 100/1", bw, lat)
+	}
+	view.SetPath("a", "proxy", vnet.PathMeasurement{Mbps: 50, BWFound: true, LatencyMs: 2, LatFound: true})
+	view.SetPath("proxy", "b", vnet.PathMeasurement{Mbps: 30, BWFound: true, LatencyMs: 3, LatFound: true})
+	if bw, lat := src.PathEstimate("a", "b"); bw != 30 || lat != 5 {
+		t.Fatalf("leg composition = %v/%v, want 30/5", bw, lat)
+	}
+	view.SetPath("a", "b", vnet.PathMeasurement{Mbps: 70, BWFound: true})
+	if bw, _ := src.PathEstimate("a", "b"); bw != 70 {
+		t.Fatalf("direct measurement = %v, want 70", bw)
+	}
+}
+
 // TestViewSourceAggregatesShardPaths: in a mesh overlay each host reports
 // to its home shard only; the sense layer must find a measurement no
 // matter which shard holds it, and prefer the freshest copy when a

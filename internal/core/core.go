@@ -2,15 +2,12 @@ package core
 
 import (
 	"fmt"
-	"math"
 	"sort"
 	"sync"
 	"time"
 
 	"freemeasure/internal/control"
 	"freemeasure/internal/ethernet"
-	"freemeasure/internal/topology"
-	"freemeasure/internal/vadapt"
 	"freemeasure/internal/vm"
 	"freemeasure/internal/vnet"
 	"freemeasure/internal/vsched"
@@ -23,56 +20,20 @@ type Config struct {
 	// Hosts names the machines that run VNET daemons (the Proxy is
 	// created implicitly).
 	Hosts []string
-	// DefaultLinkMbps is the assumed capacity of a path until Wren has
-	// measured it (default 100).
-	DefaultLinkMbps float64
-	// DefaultLatencyMs is the assumed latency until measured (default 1).
-	DefaultLatencyMs float64
 	// ReportEvery is the daemons' reporting period to the Proxy
 	// (default 250 ms).
 	ReportEvery time.Duration
-	// Objective for adaptation (default vadapt.ResidualBW{}).
-	Objective vadapt.Objective
-	// SA configures the annealing refinement; SA.Iterations == 0 disables
-	// annealing and uses the greedy heuristic alone.
-	SA vadapt.SAConfig
-	// VTTIF and Wren tuneables.
+	// VTTIF tunes the daemons' traffic inference.
 	VTTIF vttif.Config
-	Wren  wren.Config
-	// HostCPUCapacity is each host's admissible CPU utilization for VM
-	// reservations (VSched-style periodic real-time scheduling; default
-	// 1.0 = the whole processor).
-	HostCPUCapacity float64
 }
 
-func (c Config) withDefaults() Config {
-	if c.DefaultLinkMbps == 0 {
-		c.DefaultLinkMbps = 100
-	}
-	if c.DefaultLatencyMs == 0 {
-		c.DefaultLatencyMs = 1
-	}
-	if c.ReportEvery == 0 {
-		c.ReportEvery = 250 * time.Millisecond
-	}
-	if c.Objective == nil {
-		c.Objective = vadapt.ResidualBW{}
-	}
-	// Wall-clock overlay traffic is sparser and noisier than simulated
-	// kernel traces: merge sub-millisecond write jitter into bursts and
-	// close trains after 20 ms of idleness.
-	if c.Wren.Scan.BurstGap == 0 {
-		c.Wren.Scan.BurstGap = 1_000_000
-	}
-	if c.Wren.Scan.MaxGap == 0 {
-		c.Wren.Scan.MaxGap = 20_000_000
-	}
-	return c
-}
+// wrenConfig is every daemon's Wren setup. Wall-clock overlay traffic is
+// sparser and noisier than simulated kernel traces: merge sub-millisecond
+// write jitter into bursts and close trains after 20 ms of idleness.
+var wrenConfig = wren.Config{Scan: wren.ScanConfig{BurstGap: 1_000_000, MaxGap: 20_000_000}}
 
 // System is a running deployment.
 type System struct {
-	cfg     Config
 	overlay *vnet.Overlay
 
 	mu    sync.Mutex
@@ -84,24 +45,25 @@ type System struct {
 // NewSystem builds and starts the deployment: a star overlay on localhost
 // with periodic VTTIF/Wren reporting.
 func NewSystem(cfg Config) (*System, error) {
-	cfg = cfg.withDefaults()
 	if len(cfg.Hosts) == 0 {
 		return nil, fmt.Errorf("core: no hosts")
 	}
-	o, err := vnet.NewStar(cfg.Hosts, cfg.VTTIF, cfg.Wren)
+	if cfg.ReportEvery == 0 {
+		cfg.ReportEvery = 250 * time.Millisecond
+	}
+	o, err := vnet.NewStar(cfg.Hosts, cfg.VTTIF, wrenConfig)
 	if err != nil {
 		return nil, err
 	}
 	o.StartReporting(cfg.ReportEvery)
 	s := &System{
-		cfg:     cfg,
 		overlay: o,
 		vms:     make(map[int]*vm.VM),
 		resv:    make(map[int]vsched.Reservation),
 		sched:   make(map[string]*vsched.Scheduler),
 	}
 	for _, h := range cfg.Hosts {
-		s.sched[h] = vsched.New(cfg.HostCPUCapacity)
+		s.sched[h] = vsched.New(1) // the whole processor
 	}
 	return s, nil
 }
@@ -182,27 +144,31 @@ func (s *System) VMs() []*vm.VM {
 	return out
 }
 
-// hostIndex maps daemon names to contiguous NodeIDs.
-func (s *System) hostIndex() (names []string, idx map[string]topology.NodeID) {
-	idx = make(map[string]topology.NodeID)
-	for i, n := range s.overlay.Nodes {
-		names = append(names, n.Daemon.Name())
-		idx[n.Daemon.Name()] = topology.NodeID(i)
-	}
-	return names, idx
+// NewController returns the system's adaptation loop: a
+// control.Controller that senses the Proxy's global views, decides with
+// VADAPT and applies the plan to this overlay, migrating VMs with their
+// CPU reservations. cfg.Source and cfg.Applier are always replaced; every
+// other field keeps its control.Config meaning and defaults.
+func (s *System) NewController(cfg control.Config) (*control.Controller, error) {
+	cfg.Source = s.source()
+	cfg.Applier = control.OverlayApplier{Overlay: s.overlay, Migrator: s.migrator()}
+	return control.New(cfg)
 }
 
-// viewSource builds the control-plane sense adapter over this system's
-// global view, pinned to the given VM set so one snapshot stays
-// self-consistent even while VMs are added concurrently.
-func (s *System) viewSource(vms []*vm.VM) *control.ViewSource {
+// source senses the Proxy's global view over the member daemons and the
+// VMs in id order (index = vadapt.VMID).
+func (s *System) source() *control.ViewSource {
 	return &control.ViewSource{
 		View: s.overlay.View,
 		Hosts: func() []string {
-			names, _ := s.hostIndex()
+			names := make([]string, len(s.overlay.Nodes))
+			for i, n := range s.overlay.Nodes {
+				names[i] = n.Daemon.Name()
+			}
 			return names
 		},
 		VMs: func() []control.VMInfo {
+			vms := s.VMs()
 			out := make([]control.VMInfo, len(vms))
 			for i, v := range vms {
 				host := ""
@@ -213,181 +179,51 @@ func (s *System) viewSource(vms []*vm.VM) *control.ViewSource {
 			}
 			return out
 		},
-		DefaultLinkMbps:  s.cfg.DefaultLinkMbps,
-		DefaultLatencyMs: s.cfg.DefaultLatencyMs,
 	}
 }
 
-// SnapshotProblem turns the Proxy's current global views into a VADAPT
-// problem instance: the host graph from Wren's bandwidth/latency matrices
-// (with defaults where unmeasured) and the demand list from VTTIF's
-// smoothed traffic matrix. The construction lives in control.ViewSource;
-// this wrapper keeps the System-level API.
-func (s *System) SnapshotProblem() (*vadapt.Problem, []*vm.VM, error) {
-	vms := s.VMs()
-	snap, err := s.viewSource(vms).Snapshot()
-	if err != nil {
-		return nil, nil, err
-	}
-	return snap.Problem, vms, nil
-}
-
-// pathEstimate returns the believed (bandwidth, latency) between two
-// daemons: the direct Wren measurement when one exists, otherwise the
-// composition of the two star legs through the Proxy (bottleneck of the
-// bandwidths, sum of the latencies), otherwise the configured defaults.
-func (s *System) pathEstimate(from, to string) (bw, lat float64) {
-	return s.viewSource(nil).PathEstimate(from, to)
-}
-
-// currentMapping returns where each VM currently lives.
-func (s *System) currentMapping(vms []*vm.VM) ([]topology.NodeID, error) {
-	_, idx := s.hostIndex()
-	mapping := make([]topology.NodeID, len(vms))
-	for i, v := range vms {
-		d := v.Daemon()
-		if d == nil {
-			return nil, fmt.Errorf("core: vm %d detached", v.ID())
-		}
-		id, ok := idx[d.Name()]
-		if !ok {
-			return nil, fmt.Errorf("core: vm %d on unknown daemon %q", v.ID(), d.Name())
-		}
-		mapping[i] = id
-	}
-	return mapping, nil
-}
-
-// Plan is an adaptation decision: the chosen configuration and the
-// migrations needed to reach it from the current state.
-type Plan struct {
-	Problem    *vadapt.Problem
-	Config     *vadapt.Config
-	Eval       vadapt.Evaluation
-	Migrations []vadapt.Migration
-	// Rules lists the forwarding rules to install: on the daemon at Host,
-	// frames for DstMAC go to the NextHop daemon.
-	Rules []Rule
-}
-
-// Rule is one forwarding-table entry.
-type Rule struct {
-	Host    string
-	DstMAC  ethernet.MAC
-	NextHop string
-}
-
-// AdaptOnce computes a new configuration from the current global views.
-// It does not apply anything; pass the plan to Apply.
-func (s *System) AdaptOnce() (*Plan, error) {
-	p, vms, err := s.SnapshotProblem()
-	if err != nil {
-		return nil, err
-	}
-	return s.adaptOn(p, vms)
-}
-
-// adaptOn builds a plan against a fixed snapshot (so callers can compare
-// the plan's score with the current placement's score on identical data).
-func (s *System) adaptOn(p *vadapt.Problem, vms []*vm.VM) (*Plan, error) {
-	if len(p.Demands) == 0 {
-		return nil, fmt.Errorf("core: no traffic demands observed yet")
-	}
-	cfg := vadapt.Greedy(p)
-	if s.cfg.SA.Iterations > 0 {
-		cfg, _ = vadapt.Anneal(p, s.cfg.Objective, cfg, s.cfg.SA)
-	}
-	eval := s.cfg.Objective.Evaluate(p, cfg)
-	cur, err := s.currentMapping(vms)
-	if err != nil {
-		return nil, err
-	}
-	plan := &Plan{
-		Problem:    p,
-		Config:     cfg,
-		Eval:       eval,
-		Migrations: vadapt.Migrations(cur, cfg.Mapping),
-	}
-	names, _ := s.hostIndex()
-	for di, path := range cfg.Paths {
-		if len(path) < 2 {
-			continue
-		}
-		dstVM := vms[p.Demands[di].Dst]
-		for k := 0; k+1 < len(path); k++ {
-			plan.Rules = append(plan.Rules, Rule{
-				Host:    names[path[k]],
-				DstMAC:  dstVM.MAC(),
-				NextHop: names[path[k+1]],
-			})
-		}
-	}
-	return plan, nil
-}
-
-// Apply executes a plan: adds the overlay links the paths need, installs
-// forwarding rules, and migrates VMs.
-func (s *System) Apply(plan *Plan) error {
-	// Links first so rules have somewhere to point.
-	for _, r := range plan.Rules {
-		node := s.overlay.Node(r.Host)
-		if node == nil {
-			return fmt.Errorf("core: rule for unknown host %q", r.Host)
-		}
-		if _, ok := node.Daemon.Link(r.NextHop); !ok && r.NextHop != "proxy" {
-			if err := s.overlay.ConnectPair(r.Host, r.NextHop); err != nil {
-				return fmt.Errorf("core: linking %s-%s: %w", r.Host, r.NextHop, err)
-			}
-		}
-		node.Daemon.AddRule(r.DstMAC, r.NextHop)
-	}
-	vms := s.VMs()
-	names, _ := s.hostIndex()
-	for _, m := range plan.Migrations {
-		if int(m.VM) >= len(vms) {
-			return fmt.Errorf("core: migration for unknown vm %d", m.VM)
-		}
-		target := s.overlay.Node(names[m.To])
+// migrator moves VMs between daemons for Overlay.Apply. The VM's CPU
+// reservation moves first: a migration to a host without CPU headroom is
+// refused (configuration element 4). Moves are symmetric, so Apply's
+// rollback of a migration also moves the reservation back.
+func (s *System) migrator() vnet.Migrator {
+	return vnet.MigratorFunc(func(mac ethernet.MAC, _, to string) error {
+		target := s.overlay.Node(to)
 		if target == nil {
-			return fmt.Errorf("core: migration to unknown host %v", m.To)
+			return fmt.Errorf("core: migration to unknown host %q", to)
 		}
-		v := vms[m.VM]
-		// Move the VM's CPU reservation first: a migration to a host
-		// without CPU headroom is refused (configuration element 4).
 		s.mu.Lock()
-		r, reserved := s.resv[v.ID()]
-		s.mu.Unlock()
-		if reserved {
-			if err := s.sched[names[m.To]].Admit(v.ID(), r); err != nil {
-				return fmt.Errorf("core: migrating vm %d to %s: %w", v.ID(), names[m.To], err)
+		var v *vm.VM
+		for _, cand := range s.vms {
+			if cand.MAC() == mac {
+				v = cand
+				break
 			}
-			if old := v.Daemon(); old != nil {
+		}
+		var r vsched.Reservation
+		reserved := false
+		if v != nil {
+			r, reserved = s.resv[v.ID()]
+		}
+		s.mu.Unlock()
+		if v == nil {
+			return fmt.Errorf("core: migration of unknown vm %s", mac)
+		}
+		if reserved {
+			sc, ok := s.sched[to]
+			if !ok {
+				return fmt.Errorf("core: no scheduler for host %q", to)
+			}
+			if err := sc.Admit(v.ID(), r); err != nil {
+				return fmt.Errorf("core: migrating vm %d to %s: %w", v.ID(), to, err)
+			}
+			if old := v.Daemon(); old != nil && old.Name() != to {
 				if sc, ok := s.sched[old.Name()]; ok {
 					sc.Revoke(v.ID())
 				}
 			}
 		}
 		v.AttachTo(target.Daemon)
-	}
-	return nil
-}
-
-// Score evaluates how good the *current* placement is under the current
-// views — useful to verify adaptation improved matters.
-func (s *System) Score() (float64, error) {
-	p, vms, err := s.SnapshotProblem()
-	if err != nil {
-		return math.NaN(), err
-	}
-	return s.scoreOn(p, vms)
-}
-
-// scoreOn evaluates the current placement against a fixed snapshot.
-func (s *System) scoreOn(p *vadapt.Problem, vms []*vm.VM) (float64, error) {
-	cur, err := s.currentMapping(vms)
-	if err != nil {
-		return math.NaN(), err
-	}
-	cfg := &vadapt.Config{Mapping: cur, Paths: vadapt.GreedyPaths(p, cur)}
-	return s.cfg.Objective.Evaluate(p, cfg).Score, nil
+		return nil
+	})
 }

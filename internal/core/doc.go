@@ -10,6 +10,10 @@
 // (Virtuoso: VNET + VTTIF), and 4 (VADAPT) into the closed adaptation
 // loop of section 1: application traffic -> (Wren, VTTIF) -> Proxy's
 // global views -> VADAPT -> migrations + rules -> application runs faster.
-// System is the top-level object; its Step method executes one turn of
-// that loop.
+// System is the assembly: it builds the star overlay with reporting, owns
+// the VMs and their per-host VSched CPU reservations, and hands back the
+// one adaptation loop, a control.Controller (NewController), whose
+// RunCycle executes one turn of that loop and whose Start runs it
+// periodically. Migrations carry the VMs' reservations with them and are
+// refused when the target host has no CPU headroom.
 package core

@@ -27,18 +27,6 @@ func LANDumbbell() DumbbellConfig {
 	}
 }
 
-// WANDumbbell mimics the paper's Figure 3 testbed: Nistnet adding tens of
-// milliseconds of latency in front of a 25 Mbit/s congested path.
-func WANDumbbell() DumbbellConfig {
-	return DumbbellConfig{
-		AccessMbps:           1000,
-		AccessDelay:          Milliseconds(0.05),
-		BottleneckMbps:       25,
-		BottleneckDelay:      Milliseconds(25), // 50 ms RTT across the bottleneck
-		BottleneckQueueBytes: 256 * 1000,       // deeper WAN router queue
-	}
-}
-
 // Dumbbell is the built topology. Host IDs: Left endpoints first, then
 // Right endpoints, then the two routers.
 type Dumbbell struct {

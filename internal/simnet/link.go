@@ -80,10 +80,6 @@ func (l *Link) Delay() Duration { return l.delay }
 // Stats returns a copy of the link's counters.
 func (l *Link) Stats() LinkStats { return l.stats }
 
-// QueuedBytes returns the bytes currently waiting (excluding the packet in
-// transmission).
-func (l *Link) QueuedBytes() int { return l.queuedBytes }
-
 // SetRate changes the link's rate mid-run (Nistnet-style reconfiguration).
 // The packet currently being serialized finishes at the old rate.
 func (l *Link) SetRate(mbps float64) {

@@ -175,9 +175,6 @@ func (inc *Incremental) objective() Objective {
 	return ResidualBW{}
 }
 
-// SinceFull reports consecutive warm solves since the last full re-solve.
-func (inc *Incremental) SinceFull() int { return inc.sinceFull }
-
 func mappingValid(p *Problem, mapping []topology.NodeID) bool {
 	used := make(map[topology.NodeID]bool, len(mapping))
 	for _, h := range mapping {

@@ -78,7 +78,6 @@ type Daemon struct {
 
 	traffic    *vttif.Local
 	onControl  ControlHandler
-	onLinkUp   func(peer string)
 	onLinkDown func(peer string)
 	flight     *obs.FlightRecorder
 	log        *slog.Logger
@@ -176,13 +175,6 @@ func (d *Daemon) startFeedRing() {
 func (d *Daemon) SetControlHandler(fn ControlHandler) {
 	d.mu.Lock()
 	d.onControl = fn
-	d.mu.Unlock()
-}
-
-// SetLinkUpHandler installs a callback fired when a link becomes usable.
-func (d *Daemon) SetLinkUpHandler(fn func(peer string)) {
-	d.mu.Lock()
-	d.onLinkUp = fn
 	d.mu.Unlock()
 }
 
@@ -347,7 +339,7 @@ func (d *Daemon) handshakeNamed(conn net.Conn, initiator bool) (string, error) {
 	return peer, nil
 }
 
-// registerLink stores a freshly handshaked link and fires the up callback.
+// registerLink stores a freshly handshaked link.
 func (d *Daemon) registerLink(link *Link) error {
 	d.mu.Lock()
 	if d.closed {
@@ -359,7 +351,6 @@ func (d *Daemon) registerLink(link *Link) error {
 	d.swapFwdLocked(func(t *fwdTable) { t.links[link.peer] = link })
 	d.met.Handshakes.Inc()
 	d.met.LinksOpened.Inc()
-	up := d.onLinkUp
 	log := d.log
 	d.mu.Unlock()
 	if old != nil {
@@ -369,9 +360,6 @@ func (d *Daemon) registerLink(link *Link) error {
 	}
 	if log != nil {
 		log.Info("link up", "peer", link.peer)
-	}
-	if up != nil {
-		up(link.peer)
 	}
 	// A freshly (re)connected peer may own slices of the ring; push it any
 	// registrations it is missing (idempotent on the receiver).

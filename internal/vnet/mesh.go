@@ -82,26 +82,34 @@ func (d *Daemon) DefaultRoute() string { return d.fwd.Load().deflt }
 
 // dropRingMember removes peer from the installed ring — the re-home
 // primitive. The read-modify-write runs under d.mu so two concurrent
-// link-down events both land. Returns the shrunk ring, or nil when
-// nothing changed.
-func (d *Daemon) dropRingMember(ctx obs.TraceContext, peer string) *ProxyRing {
+// link-down events both land. When peer was the default route, the same
+// table swap re-homes it to the shrunk ring's assignment, so no reader
+// sees a ring without peer still routing to peer. Returns the new home
+// ("" when the default route did not move).
+func (d *Daemon) dropRingMember(ctx obs.TraceContext, peer string) (home string) {
 	d.mu.Lock()
 	prev := d.fwd.Load().ring
 	if prev == nil {
 		d.mu.Unlock()
-		return nil
+		return ""
 	}
 	next := prev.Without(peer)
 	if next == nil {
 		d.mu.Unlock()
-		return nil
+		return ""
 	}
-	d.swapFwdLocked(func(t *fwdTable) { t.ring = next })
+	d.swapFwdLocked(func(t *fwdTable) {
+		t.ring = next
+		if t.deflt == peer {
+			home = next.HomeProxy(d.name)
+			t.deflt = home
+		}
+	})
 	fl, log := d.flight, d.log
 	d.mu.Unlock()
 	d.ringChanged(ctx, prev, next, fl, log, "ring-shrink")
 	d.announceAll(ctx)
-	return next
+	return home
 }
 
 // ringChanged emits the metrics, flight event, and log line for a ring
@@ -255,13 +263,7 @@ func (d *Daemon) EnableRingRehome(onRehome func(dead, newHome string)) {
 		// ring-register events), and any re-home all correlate, so the
 		// collector can replay the whole storm from this node outward.
 		ctx := obs.NewTrace()
-		next := d.dropRingMember(ctx, peer)
-		if next == nil {
-			return
-		}
-		if d.DefaultRoute() == peer {
-			home := next.HomeProxy(d.name)
-			d.SetDefaultRoute(home)
+		if home := d.dropRingMember(ctx, peer); home != "" {
 			d.mu.RLock()
 			fl := d.flight
 			d.mu.RUnlock()
