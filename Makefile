@@ -32,10 +32,10 @@ relaybench-baseline:
 	$(GO) test -run '^$$' -bench 'TransitRelay' -benchmem -count=3 ./internal/vnet/ | \
 		$(GO) run ./cmd/benchgate -out BENCH_RELAY.json
 
-# VTTIF heavy-traffic regression fence: striped Local ingest (vs the
-# single-mutex baseline), the 1M-flow sketched matrix update, the
-# exact-mode steady state, and the incremental warm/full solver, gated
-# against the committed BENCH_VTTIF.json. ns/op gates at 30% (the matrix
+# VTTIF heavy-traffic regression fence: per-daemon Local ingest, the
+# 1M-flow sketched matrix update, the exact-mode steady state, and the
+# incremental warm/full solver, gated against the committed
+# BENCH_VTTIF.json. ns/op gates at 30% (the matrix
 # benches are memory-bound and noisier than the relay fast path) and
 # allocs at-or-below baseline; the committed baseline carries alloc
 # headroom because sketch admission churn is workload-order dependent.
@@ -66,10 +66,10 @@ chaos:
 		./internal/estimator/eval/
 
 # Coordination-tier suite (DESIGN.md §10): store conformance on both
-# backends, scheduler property tests, bandwidth-map round-trip + fuzz
-# regression corpus, the chaos scenarios, and TestCoordEndToEnd — all
-# under the race detector with shuffled order. CHAOS_SEED/CHAOS_TRACE_DIR
-# work here exactly as in `make chaos`.
+# backends, bandwidth-map round-trip + fuzz regression corpus, the
+# store-outage chaos scenario, and TestCoordEndToEnd — all under the race
+# detector with shuffled order. CHAOS_SEED/CHAOS_TRACE_DIR work here
+# exactly as in `make chaos`.
 coordtest:
 	$(GO) test -race -shuffle=on -count=1 ./internal/wren/coord/
 

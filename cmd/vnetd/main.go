@@ -331,9 +331,9 @@ func main() {
 			logger.Info("active estimate fusion enabled", "stale_after", *estFuse)
 		}
 		if *mapURL != "" {
-			fetcher := newMapFetcher(*mapURL, logger)
+			fetcher := newMapFetcher(*mapURL, *mapEvery, logger)
 			stopFetch := make(chan struct{})
-			fetcher.Start(*mapEvery, stopFetch)
+			fetcher.Start(stopFetch)
 			defer close(stopFetch)
 			src.Map = fetcher.Current
 			logger.Info("bandwidth map fetch enabled", "url", *mapURL, "interval", *mapEvery)

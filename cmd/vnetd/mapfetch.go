@@ -19,15 +19,24 @@ import (
 // discarded, so a flapping or rolled-back repository can never move the
 // controller's view backwards.
 type mapFetcher struct {
-	url string
-	cur atomic.Pointer[coord.BandwidthMap]
-	log *slog.Logger
+	url      string
+	interval time.Duration
+	// client bounds each fetch by the poll interval, so a wedged
+	// repository costs one missed poll instead of the poll loop.
+	client http.Client
+	cur    atomic.Pointer[coord.BandwidthMap]
+	log    *slog.Logger
 }
 
 // newMapFetcher normalizes base (".../": the /map path is appended) and
-// returns a fetcher with nothing fetched yet.
-func newMapFetcher(base string, log *slog.Logger) *mapFetcher {
-	return &mapFetcher{url: strings.TrimSuffix(base, "/") + "/map", log: log}
+// returns a fetcher that polls every interval, with nothing fetched yet.
+func newMapFetcher(base string, interval time.Duration, log *slog.Logger) *mapFetcher {
+	return &mapFetcher{
+		url:      strings.TrimSuffix(base, "/") + "/map",
+		interval: interval,
+		client:   http.Client{Timeout: interval},
+		log:      log,
+	}
 }
 
 // Current returns the latest accepted map, nil before the first success —
@@ -36,7 +45,7 @@ func (f *mapFetcher) Current() *coord.BandwidthMap { return f.cur.Load() }
 
 // fetchOnce GETs, parses, and (generation permitting) installs one map.
 func (f *mapFetcher) fetchOnce() error {
-	resp, err := http.Get(f.url)
+	resp, err := f.client.Get(f.url)
 	if err != nil {
 		return err
 	}
@@ -64,9 +73,9 @@ func (f *mapFetcher) fetchOnce() error {
 
 // Start polls every interval until stop is closed. Failures are logged
 // and the last good map stays current.
-func (f *mapFetcher) Start(interval time.Duration, stop <-chan struct{}) {
+func (f *mapFetcher) Start(stop <-chan struct{}) {
 	go func() {
-		tick := time.NewTicker(interval)
+		tick := time.NewTicker(f.interval)
 		defer tick.Stop()
 		if err := f.fetchOnce(); err != nil && f.log != nil {
 			f.log.Warn("bandwidth map fetch", "url", f.url, "err", err)

@@ -148,7 +148,8 @@ func TestChaosMeshProxyCrashRehomesAndRelearns(t *testing.T) {
 	}
 	stop := make(chan struct{})
 	defer close(stop)
-	if err := r.Play(WallClock{}, stop); err != nil {
+	// The crash lands at t=0, so Play never waits on the clock.
+	if err := r.Play(NewFakeClock(), stop); err != nil {
 		t.Fatalf("play: %v", err)
 	}
 
@@ -231,10 +232,11 @@ func TestChaosMeshPartitionRehomesThenOperatorRestores(t *testing.T) {
 		Log:    &Log{},
 		Flight: fr,
 	}
+	clk := NewFakeClock()
 	rehomed := make(chan struct{})
 	go func() {
 		defer close(rehomed)
-		if err := r.Play(WallClock{}, nil); err != nil {
+		if err := r.Play(clk, nil); err != nil {
 			t.Errorf("play: %v", err)
 		}
 	}()
@@ -242,7 +244,16 @@ func TestChaosMeshPartitionRehomesThenOperatorRestores(t *testing.T) {
 		ring := h1.Ring()
 		return ring != nil && !ring.Contains(home) && h1.DefaultRoute() != home
 	})
-	<-rehomed // partition cleared: the link redials
+	// The partition holds until fake time passes its Duration. Play may
+	// not have armed its timer yet, so advance until it returns.
+	for cleared := false; !cleared; {
+		clk.Advance(150 * time.Millisecond)
+		select {
+		case <-rehomed: // partition cleared: the link redials
+			cleared = true
+		case <-time.After(10 * time.Millisecond):
+		}
+	}
 
 	meshWait(t, "healed link is back", func() bool {
 		_, ok := h1.Link(home)

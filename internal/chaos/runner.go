@@ -134,8 +134,8 @@ func (r *Runner) ScheduleSim(sim *simnet.Sim) error {
 	return nil
 }
 
-// PlayClock is the time source Play needs: WallClock and FakeClock both
-// satisfy it.
+// PlayClock is the time source Play needs. FakeClock satisfies it; so
+// does any adapter over time.Now and time.After.
 type PlayClock interface {
 	Now() time.Time
 	After(d time.Duration) <-chan time.Time
@@ -144,7 +144,8 @@ type PlayClock interface {
 // Play runs the scenario against a live fabric, sleeping on clk between
 // events; it returns when every event has been applied and cleared, or
 // when stop closes (pending faults are cleared on the way out). Drive it
-// with a FakeClock from a test goroutine, or WallClock for a soak.
+// with a FakeClock from a test goroutine, or a wall-clock PlayClock for
+// a soak.
 func (r *Runner) Play(clk PlayClock, stop <-chan struct{}) error {
 	if err := r.Scenario.Validate(); err != nil {
 		return err

@@ -1,43 +1,13 @@
 package vttif
 
 import (
-	"sync"
 	"sync/atomic"
 	"testing"
 
 	"freemeasure/internal/ethernet"
 )
 
-// mutexLocal is the pre-striping accumulator (one lock around one map),
-// kept here as the contention baseline the striped Local is measured
-// against in the BENCH_VTTIF.json table.
-type mutexLocal struct {
-	mu    sync.Mutex
-	bytes map[Pair]uint64
-}
-
-func (l *mutexLocal) addFrame(src, dst ethernet.MAC, wireBytes int) {
-	l.mu.Lock()
-	l.bytes[Pair{src, dst}] += uint64(wireBytes)
-	l.mu.Unlock()
-}
-
-func BenchmarkLocalAddFrameSingleMutex(b *testing.B) {
-	l := &mutexLocal{bytes: make(map[Pair]uint64)}
-	var nextWriter atomic.Uint64
-	b.ReportAllocs()
-	b.RunParallel(func(pb *testing.PB) {
-		src := ethernet.VMMAC(int(nextWriter.Add(1)))
-		dsts := [4]ethernet.MAC{ethernet.VMMAC(100), ethernet.VMMAC(101), ethernet.VMMAC(102), ethernet.VMMAC(103)}
-		i := 0
-		for pb.Next() {
-			l.addFrame(src, dsts[i&3], 1500)
-			i++
-		}
-	})
-}
-
-func BenchmarkLocalAddFrameStriped(b *testing.B) {
+func BenchmarkLocalAddFrame(b *testing.B) {
 	l := NewLocal()
 	var nextWriter atomic.Uint64
 	b.ReportAllocs()

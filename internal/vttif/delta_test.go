@@ -109,11 +109,11 @@ func TestDeltaOverflowSignalsReset(t *testing.T) {
 	}
 }
 
-// TestStripedLocalConcurrency hammers the striped accumulator from many
-// goroutines with interleaved snapshots and asserts byte conservation:
-// every byte lands in exactly one snapshot. Run under -race this also
-// proves the striping is data-race free.
-func TestStripedLocalConcurrency(t *testing.T) {
+// TestLocalConcurrency hammers the accumulator from many goroutines with
+// interleaved snapshots and asserts byte conservation: every byte lands in
+// exactly one snapshot. Run under -race this also proves the accumulator
+// is data-race free.
+func TestLocalConcurrency(t *testing.T) {
 	l := NewLocal()
 	const (
 		writers   = 8
@@ -144,8 +144,8 @@ func TestStripedLocalConcurrency(t *testing.T) {
 			defer wg.Done()
 			src := ethernet.VMMAC(w)
 			for i := 0; i < perWriter; i++ {
-				// Mix per-writer pairs with shared ones to exercise both
-				// uncontended and contended stripes.
+				// Each writer owns seven pairs; all of them contend on
+				// the one lock.
 				l.AddFrame(src, ethernet.VMMAC(100+i%7), frame)
 			}
 		}(w)

@@ -15,8 +15,8 @@ package vttif
 //     smoothed rate by at most its recorded err (the evicted minimum it
 //     inherited at admission).
 
-// pairHash is FNV-1a over the 12 MAC bytes of the pair — the shared hash
-// for Local striping and the sketch row derivation.
+// pairHash is FNV-1a over the 12 MAC bytes of the pair — the hash the
+// sketch derives its row indexes from.
 func pairHash(p Pair) uint64 {
 	const (
 		offset64 = 14695981039346656037

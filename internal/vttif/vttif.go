@@ -16,44 +16,25 @@ type Pair struct {
 	Src, Dst ethernet.MAC
 }
 
-// localStripes is the number of independently locked shards in Local. A
-// power of two so the stripe index is a mask of the pair hash; 16 stripes
-// keep contention negligible well past the core counts we run on.
-const localStripes = 16
-
-// localStripe is one shard of the accumulator, padded out to its own cache
-// line so neighboring stripe locks don't false-share.
-type localStripe struct {
+// Local accumulates per-pair byte counts at one VNET daemon. It is written
+// from the daemon's forwarding hot path; the critical section is a single
+// map increment under one mutex.
+type Local struct {
 	mu    sync.Mutex
 	bytes map[Pair]uint64
-	_     [24]byte
-}
-
-// Local accumulates per-pair byte counts at one VNET daemon. It is written
-// from the daemon's forwarding hot path, so the accumulator is striped by
-// pair hash: concurrent relay goroutines land on different locks and the
-// critical section stays a single map increment.
-type Local struct {
-	stripes [localStripes]localStripe
-	met     atomic.Pointer[LocalMetrics]
+	met   atomic.Pointer[LocalMetrics]
 }
 
 // NewLocal returns an empty accumulator.
 func NewLocal() *Local {
-	l := &Local{}
-	for i := range l.stripes {
-		l.stripes[i].bytes = make(map[Pair]uint64)
-	}
-	return l
+	return &Local{bytes: make(map[Pair]uint64)}
 }
 
 // AddFrame records one frame sent by a local VM.
 func (l *Local) AddFrame(src, dst ethernet.MAC, wireBytes int) {
-	p := Pair{src, dst}
-	s := &l.stripes[pairHash(p)&(localStripes-1)]
-	s.mu.Lock()
-	s.bytes[p] += uint64(wireBytes)
-	s.mu.Unlock()
+	l.mu.Lock()
+	l.bytes[Pair{src, dst}] += uint64(wireBytes)
+	l.mu.Unlock()
 	if m := l.met.Load(); m != nil {
 		m.FramesClassified.Inc()
 		m.BytesClassified.Add(uint64(wireBytes))
@@ -64,21 +45,10 @@ func (l *Local) AddFrame(src, dst ethernet.MAC, wireBytes int) {
 // matrix a daemon pushes to the Proxy each reporting period. Frames added
 // concurrently land in either this snapshot or the next, never both.
 func (l *Local) Snapshot() map[Pair]uint64 {
-	out := make(map[Pair]uint64)
-	for i := range l.stripes {
-		s := &l.stripes[i]
-		s.mu.Lock()
-		part := s.bytes
-		s.bytes = make(map[Pair]uint64)
-		s.mu.Unlock()
-		if len(out) == 0 {
-			out = part
-			continue
-		}
-		for p, b := range part {
-			out[p] += b
-		}
-	}
+	l.mu.Lock()
+	out := l.bytes
+	l.bytes = make(map[Pair]uint64)
+	l.mu.Unlock()
 	return out
 }
 

@@ -1,22 +1,18 @@
 // Package coord is the measurement coordination tier above the Wren
 // repository: the Iris/FlashFlow direction of the paper's passive
 // measurement service. Where internal/wren ingests and analyzes traces,
-// coord decides which paths need fresh observations, stores the resulting
-// records durably, and publishes a consumable artifact.
+// coord stores the resulting observation records durably and publishes a
+// consumable artifact. Deciding which paths to probe is not its job: the
+// passive measurement needs no probe plan, and vnetd's active-probe
+// fallback plans its own legs.
 //
-// Three pieces compose the tier:
+// Two pieces compose the tier:
 //
 //   - Store: observation records keyed by (path, timestamp) behind a
 //     backend interface — Put, versioned Scan snapshots, and Watch
 //     subscriptions. MemStore shards the key space in memory; FileStore
 //     adds an append-only persistent log with crash-tolerant replay. Both
 //     pass the shared StoreConformance suite.
-//
-//   - Scheduler: staleness- and demand-driven probe planning. Demand
-//     arrives from the VTTIF delta stream and the controller (not
-//     poll-everything); the scheduler emits multi-round measurement plans
-//     under a per-target probe budget, with capped exponential retry
-//     backoff when an agent is lost mid-round.
 //
 //   - BandwidthMap: the versioned, atomically published capacity file
 //     (the v3bw idea) that control.ViewSource, VADAPT and external
