@@ -12,8 +12,10 @@ import (
 // path without sockets: links carry a null transport, so the numbers
 // isolate table lookup, header handling, accounting, and buffer
 // management — the per-frame overhead the paper's "free measurement"
-// pitch depends on. CI runs these with -benchmem (see the bench job);
-// before/after tables live in docs/OPERATIONS.md.
+// pitch depends on. BenchmarkDaemonTCPRelay is the exception: it runs
+// the same relay over loopback TCP, so it also sees the socket syscalls.
+// CI runs these with -benchmem (see the bench job); before/after tables
+// live in docs/OPERATIONS.md.
 
 type nullTransport struct{}
 
@@ -158,5 +160,43 @@ func BenchmarkDaemonFlood(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		payload[0] = DefaultTTL
 		d.handleMessage(in, msgFrame, payload)
+	}
+}
+
+// BenchmarkDaemonTCPRelay measures one frame a→proxy→b over real loopback
+// TCP links, one frame in flight: both hops' link writes, buffered reads,
+// per-frame ACKs and the proxy's relay. It is the one data-plane
+// benchmark that sees syscalls. Absolute ns does not carry across
+// machines, so it is informational and not part of BENCH_RELAY.json.
+func BenchmarkDaemonTCPRelay(b *testing.B) {
+	src, proxy, dst := NewDaemon("a"), NewDaemon("proxy"), NewDaemon("b")
+	defer src.Close()
+	defer proxy.Close()
+	defer dst.Close()
+	addr, err := proxy.Listen("127.0.0.1:0")
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, d := range []*Daemon{src, dst} {
+		if _, err := d.Connect(addr); err != nil {
+			b.Fatal(err)
+		}
+	}
+	waitFor(b, "proxy links", func() bool {
+		_, okA := proxy.Link("a")
+		_, okB := proxy.Link("b")
+		return okA && okB
+	})
+	vmA, vmB := ethernet.VMMAC(1), ethernet.VMMAC(2)
+	got := make(chan struct{}, 1)
+	dst.AttachVM(vmB, func(*ethernet.Frame) { got <- struct{}{} })
+	src.AddRule(vmB, "proxy")
+	proxy.AddRule(vmB, "b")
+	f := &ethernet.Frame{Dst: vmB, Src: vmA, Type: ethernet.TypeApp, Payload: make([]byte, 64)}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		src.InjectFrame(f)
+		<-got // every frame must reach b's VM before the next is sent
 	}
 }

@@ -1,6 +1,7 @@
 package vnet
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
 	"errors"
@@ -70,6 +71,10 @@ type Daemon struct {
 	mu     sync.RWMutex // control plane: registration state and snapshot swaps
 	ln     net.Listener
 	closed bool
+	// accepting holds accepted connections still in the hello exchange;
+	// Close closes them so a peer that never says hello cannot hold
+	// Close's wg.Wait hostage.
+	accepting map[net.Conn]struct{}
 
 	// Virtual-UDP link state: one shared socket; the per-datagram demux
 	// table is an atomic snapshot (udpDemux) so the read loop never locks.
@@ -91,8 +96,9 @@ type Daemon struct {
 // overlay; they identify link endpoints in Wren records and rules).
 func NewDaemon(name string) *Daemon {
 	d := &Daemon{
-		name:    name,
-		traffic: vttif.NewLocal(),
+		name:      name,
+		traffic:   vttif.NewLocal(),
+		accepting: make(map[net.Conn]struct{}),
 	}
 	d.fwd.Store(&fwdTable{self: name, learned: &macTable{}, regs: &macTable{}})
 	d.udp.Store(&udpDemux{})
@@ -258,20 +264,36 @@ func (d *Daemon) acceptLoop(ln net.Listener) {
 		if err != nil {
 			return
 		}
+		d.mu.Lock()
+		if d.closed {
+			d.mu.Unlock()
+			conn.Close()
+			return
+		}
+		d.accepting[conn] = struct{}{}
 		d.wg.Add(1)
+		d.mu.Unlock()
 		go func() {
 			defer d.wg.Done()
-			if err := d.handshake(conn, false); err != nil {
+			err := d.handshake(conn, false)
+			d.mu.Lock()
+			delete(d.accepting, conn)
+			d.mu.Unlock()
+			if err != nil {
 				conn.Close()
 			}
 		}()
 	}
 }
 
+// handshakeTimeout bounds both the dial and the hello exchange of a TCP
+// link.
+const handshakeTimeout = 5 * time.Second
+
 // Connect dials a peer daemon and establishes a link. It returns the
 // peer's name.
 func (d *Daemon) Connect(addr string) (string, error) {
-	conn, err := net.DialTimeout("tcp", addr, 5*time.Second)
+	conn, err := net.DialTimeout("tcp", addr, handshakeTimeout)
 	if err != nil {
 		return "", err
 	}
@@ -289,8 +311,14 @@ func (d *Daemon) handshake(conn net.Conn, initiator bool) error {
 }
 
 // handshakeNamed exchanges hello messages (initiator speaks first) and
-// registers the link.
+// registers the link. The exchange is unbuffered and bounded by
+// handshakeTimeout; the link's read loop then owns the conn through one
+// bufio.Reader, created only after the hello so no handshake bytes are
+// lost to it.
 func (d *Daemon) handshakeNamed(conn net.Conn, initiator bool) (string, error) {
+	if err := conn.SetDeadline(time.Now().Add(handshakeTimeout)); err != nil {
+		return "", err
+	}
 	if initiator {
 		if err := writeMessage(conn, msgHello, []byte(d.name)); err != nil {
 			return "", err
@@ -312,6 +340,9 @@ func (d *Daemon) handshakeNamed(conn net.Conn, initiator bool) (string, error) {
 			return "", err
 		}
 	}
+	if err := conn.SetDeadline(time.Time{}); err != nil {
+		return "", err
+	}
 	link := &Link{daemon: d, peer: peer, tr: &tcpTransport{conn: conn}}
 	if err := d.registerLink(link); err != nil {
 		return "", err
@@ -320,14 +351,17 @@ func (d *Daemon) handshakeNamed(conn net.Conn, initiator bool) (string, error) {
 	go func() {
 		defer d.wg.Done()
 		defer d.dropLink(link)
-		// One pooled buffer is reused across messages; it is replaced only
-		// when a message's bytes escape the call (local VM delivery or a
-		// control handler), so a pure transit stream performs zero
-		// allocations per frame.
+		// Reads are amortised through one bufio.Reader (the conn's only
+		// reader from here on); each message is copied out of it into one
+		// pooled buffer, reused across messages and replaced only when a
+		// message's bytes escape the call (local VM delivery or a control
+		// handler), so a pure transit stream performs zero allocations per
+		// frame and no payload ever aliases the bufio buffer.
+		br := bufio.NewReader(conn)
 		bufp := msgBufs.Get().(*[]byte)
 		defer func() { msgBufs.Put(bufp) }()
 		for {
-			typ, payload, err := readMessageInto(conn, bufp)
+			typ, payload, err := readMessageInto(br, bufp)
 			if err != nil {
 				return
 			}
@@ -767,8 +801,9 @@ func (d *Daemon) drop() {
 	d.met.FramesDropped.Inc()
 }
 
-// Close shuts the daemon down: listener, all links, and the feed ring's
-// analyzer goroutine (which performs a final drain).
+// Close shuts the daemon down: listener, accepted connections still in
+// the hello exchange, all links, and the feed ring's analyzer goroutine
+// (which performs a final drain).
 func (d *Daemon) Close() {
 	d.mu.Lock()
 	if d.closed {
@@ -778,6 +813,9 @@ func (d *Daemon) Close() {
 	d.closed = true
 	ln := d.ln
 	udp := d.udpSock
+	for c := range d.accepting {
+		c.Close()
+	}
 	t := d.fwd.Load()
 	links := make([]*Link, 0, len(t.links))
 	for _, l := range t.links {

@@ -30,7 +30,7 @@ func (c *collector) count() int {
 }
 
 // waitFor polls until cond is true or the deadline passes.
-func waitFor(t *testing.T, what string, cond func() bool) {
+func waitFor(t testing.TB, what string, cond func() bool) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {

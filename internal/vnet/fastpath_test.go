@@ -220,6 +220,59 @@ func TestFeedRingDropOldest(t *testing.T) {
 	}
 }
 
+// TestFeedRingGrowsInOrder: the ring starts small and doubles on demand
+// up to its capacity, unwrapping a wrapped head without reordering, and
+// drops oldest only once it is at capacity.
+func TestFeedRingGrowsInOrder(t *testing.T) {
+	const capacity = 1000 // not a power of two: the last doubling is clamped
+	r := newFeedRing(capacity)
+	if len(r.buf) != feedRingInitCap {
+		t.Fatalf("new ring holds %d slots, want %d", len(r.buf), feedRingInitCap)
+	}
+	var seq int64
+	push := func(n int) (dropped int) {
+		for i := 0; i < n; i++ {
+			if r.push(pcap.Record{Seq: seq}) {
+				dropped++
+			}
+			seq++
+			if len(r.buf) > capacity {
+				t.Fatalf("ring grew to %d slots past capacity %d", len(r.buf), capacity)
+			}
+		}
+		return dropped
+	}
+	expectDrain := func(from int64, n int) {
+		t.Helper()
+		batch := r.drain(nil)
+		if len(batch) != n {
+			t.Fatalf("drained %d records, want %d", len(batch), n)
+		}
+		for i, rec := range batch {
+			if rec.Seq != from+int64(i) {
+				t.Fatalf("batch[%d].Seq = %d, want %d", i, rec.Seq, from+int64(i))
+			}
+		}
+	}
+
+	// Move the head off zero so the first doubling unwraps a wrapped ring.
+	push(40)
+	expectDrain(0, 40)
+	// 900 records: four doublings (64→128→256→512→1000), no drops.
+	if d := push(900); d != 0 {
+		t.Fatalf("%d drops below capacity", d)
+	}
+	if len(r.buf) != capacity {
+		t.Fatalf("ring holds %d slots after growth, want %d", len(r.buf), capacity)
+	}
+	expectDrain(40, 900)
+	// Past capacity the ring drops oldest and keeps the newest, in order.
+	if d := push(1500); d != 500 {
+		t.Fatalf("%d drops for 1500 records into capacity %d, want 500", d, capacity)
+	}
+	expectDrain(seq-capacity, capacity)
+}
+
 // TestConcurrentMutationWhileForwarding hammers the relay path while the
 // control plane churns rules, VMs, and the default route. The snapshot
 // table must keep every frame on a consistent view — no drops to a
@@ -281,6 +334,12 @@ func TestLinkCounterConcurrency(t *testing.T) {
 	if _, err := b.Connect(addr); err != nil {
 		t.Fatal(err)
 	}
+	// Connect returns once b holds the link; a registers its side after
+	// sending its hello, so wait for it before the readers index Peers.
+	waitFor(t, "handshake", func() bool {
+		_, ok := a.Link("b")
+		return ok
+	})
 	macA, macB := ethernet.VMMAC(1), ethernet.VMMAC(2)
 	var sinkA, sinkB collector
 	a.AttachVM(macA, sinkA.port())

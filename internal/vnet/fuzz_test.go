@@ -1,6 +1,7 @@
 package vnet
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
 	"io"
@@ -11,7 +12,8 @@ import (
 
 // FuzzReadMessage feeds the wire decoder arbitrary byte streams: it must
 // never panic, never allocate past maxMessage, and never claim to have
-// read a payload longer than the input supplied.
+// read a payload longer than the input supplied. Decoding through a small
+// bufio.Reader, as the link read loop does, must give the same result.
 func FuzzReadMessage(f *testing.F) {
 	var good bytes.Buffer
 	writeMessage(&good, msgFrame, []byte("hello overlay"))
@@ -23,9 +25,19 @@ func FuzzReadMessage(f *testing.F) {
 	f.Add(huge)
 	// Length field claiming more than the stream carries.
 	f.Add([]byte{msgAck, 0, 0, 0, 8, 1, 2})
+	// A message longer than the bufio buffer below, followed by another.
+	var long bytes.Buffer
+	writeMessage(&long, msgFrame, bytes.Repeat([]byte{0x5a}, 100))
+	writeMessage(&long, msgAck, make([]byte, 8))
+	f.Add(long.Bytes())
 
 	f.Fuzz(func(t *testing.T, b []byte) {
 		typ, payload, err := readMessage(bytes.NewReader(b))
+		btyp, bpayload, berr := readMessage(bufio.NewReaderSize(bytes.NewReader(b), 16))
+		if (err == nil) != (berr == nil) || btyp != typ || !bytes.Equal(bpayload, payload) {
+			t.Fatalf("bufio decode (typ=%d %d bytes, err=%v) != direct (typ=%d %d bytes, err=%v)",
+				btyp, len(bpayload), berr, typ, len(payload), err)
+		}
 		if err != nil {
 			return
 		}
@@ -52,18 +64,22 @@ func FuzzReadMessage(f *testing.F) {
 }
 
 // FuzzReadMessageInto exercises the pooled-buffer variant with a reused
-// buffer across two decodes, which is exactly how the link read loop
-// calls it: the second decode must not be corrupted by the first.
+// buffer across two decodes through a small bufio.Reader, which is
+// exactly how the link read loop calls it: the second decode must not be
+// corrupted by the first, nor by the reader's refills.
 func FuzzReadMessageInto(f *testing.F) {
 	var one, two bytes.Buffer
 	writeMessage(&one, msgFrame, bytes.Repeat([]byte{0xaa}, 100))
 	writeMessage(&two, msgControl, []byte("x"))
 	f.Add(one.Bytes(), two.Bytes())
 	f.Add([]byte{}, []byte{})
+	// Both messages in the first chunk: the second is served from what the
+	// reader buffered while decoding the first.
+	f.Add(append(append([]byte(nil), two.Bytes()...), two.Bytes()...), []byte{})
 
 	f.Fuzz(func(t *testing.T, a, b []byte) {
 		buf := make([]byte, 0, 16)
-		r := io.MultiReader(bytes.NewReader(a), bytes.NewReader(b))
+		r := bufio.NewReaderSize(io.MultiReader(bytes.NewReader(a), bytes.NewReader(b)), 16)
 		var payloads [][]byte
 		for i := 0; i < 2; i++ {
 			_, payload, err := readMessageInto(r, &buf)

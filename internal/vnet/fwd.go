@@ -257,32 +257,54 @@ func (d *Daemon) learn(src ethernet.MAC, fromPeer string) {
 // "free". A single consumer drains whole batches, locking once per batch.
 type feedRing struct {
 	mu   sync.Mutex
-	buf  []pcap.Record
-	head int // index of the oldest record
-	n    int // occupancy
+	buf  []pcap.Record // grows by doubling up to max
+	max  int           // capacity bound
+	head int           // index of the oldest record
+	n    int           // occupancy
 
 	notify chan struct{} // cap 1: consumer wake-up
 	stop   chan struct{} // closed by Daemon.Close
 }
 
-// defaultFeedRingCap bounds pending Wren records per daemon (~80 B each).
+// defaultFeedRingCap bounds pending Wren records per daemon (88 B each,
+// so ~720 KB when full).
 const defaultFeedRingCap = 8192
+
+// feedRingInitCap is the ring's starting size. It doubles on demand, so a
+// daemon whose analyzer keeps up (or that has no sink) never pays for
+// the full capacity.
+const feedRingInitCap = 64
 
 func newFeedRing(capacity int) *feedRing {
 	if capacity <= 0 {
 		capacity = defaultFeedRingCap
 	}
 	return &feedRing{
-		buf:    make([]pcap.Record, capacity),
+		buf:    make([]pcap.Record, min(capacity, feedRingInitCap)),
+		max:    capacity,
 		notify: make(chan struct{}, 1),
 		stop:   make(chan struct{}),
 	}
 }
 
-// push enqueues one record, evicting the oldest when full, and reports
-// whether an eviction happened.
+// grow doubles the ring (up to max), unwrapping it so the oldest record
+// lands at index 0. Called with r.mu held on a full ring.
+func (r *feedRing) grow() {
+	buf := make([]pcap.Record, min(2*len(r.buf), r.max))
+	k := copy(buf, r.buf[r.head:])
+	copy(buf[k:], r.buf[:r.head])
+	r.buf = buf
+	r.head = 0
+}
+
+// push enqueues one record, growing a full ring below its capacity and
+// evicting the oldest record at capacity, and reports whether an
+// eviction happened.
 func (r *feedRing) push(rec pcap.Record) (dropped bool) {
 	r.mu.Lock()
+	if r.n == len(r.buf) && len(r.buf) < r.max {
+		r.grow()
+	}
 	if r.n == len(r.buf) {
 		r.head++
 		if r.head == len(r.buf) {
@@ -339,7 +361,7 @@ func (r *feedRing) drain(scratch []pcap.Record) []pcap.Record {
 // drain when the ring is stopped.
 func (d *Daemon) feedLoop(r *feedRing) {
 	defer d.wg.Done()
-	scratch := make([]pcap.Record, 0, len(r.buf))
+	var scratch []pcap.Record // grown by drain to the ring's current size
 	deliver := func() {
 		batch := d.ringDrainAndDeliver(r, scratch)
 		if cap(batch) > cap(scratch) {

@@ -28,11 +28,23 @@ type transport interface {
 	kind() string // "tcp" or "udp"
 }
 
-// tcpTransport wraps a stream connection.
-type tcpTransport struct{ conn net.Conn }
+// tcpTransport wraps a stream connection. Each message is framed into buf
+// and written with one Write; buf grows on demand to the largest message
+// sent and is guarded by the owning link's writeMu, which already
+// serializes frames, ACKs and control messages.
+type tcpTransport struct {
+	conn net.Conn
+	buf  []byte
+}
 
 func (t *tcpTransport) send(typ byte, payload []byte) error {
-	return writeMessage(t.conn, typ, payload)
+	buf, err := appendMessage(t.buf[:0], typ, payload)
+	if err != nil {
+		return err
+	}
+	t.buf = buf
+	_, err = t.conn.Write(buf)
+	return err
 }
 func (t *tcpTransport) close()       { t.conn.Close() }
 func (t *tcpTransport) kind() string { return "tcp" }
@@ -150,7 +162,7 @@ func (l *Link) throttle(n int) {
 // emitted into the daemon's feed ring.
 func (l *Link) sendFramePayload(payload []byte) error {
 	l.writeMu.Lock()
-	l.throttle(len(payload) + 5)
+	l.throttle(len(payload) + msgHeaderLen)
 	seq := l.sentBytes.Load()
 	binary.BigEndian.PutUint64(payload[1:9], uint64(seq))
 	if err := l.tr.send(msgFrame, payload); err != nil {
@@ -168,7 +180,7 @@ func (l *Link) sendFramePayload(payload []byte) error {
 		At:   time.Now().UnixNano(),
 		Dir:  pcap.Out,
 		Flow: pcap.FlowKey{Local: l.daemon.name, Remote: l.peer},
-		Size: len(payload) + 5,
+		Size: len(payload) + msgHeaderLen,
 		Seq:  seq,
 		Len:  len(payload),
 	})

@@ -32,6 +32,25 @@ func TestProbeTrainDiesAtPeerAndFeedsWren(t *testing.T) {
 		sent, _, acked := link.SeqState()
 		return sent > 0 && acked >= sent
 	})
+	// The records reach the sink through the feed ring's analyzer
+	// goroutine, so they can trail the ACKs.
+	count := func() (outs, acks int) {
+		mu.Lock()
+		defer mu.Unlock()
+		for _, r := range recs {
+			switch {
+			case r.Dir == pcap.Out && !r.IsAck:
+				outs++
+			case r.Dir == pcap.In && r.IsAck:
+				acks++
+			}
+		}
+		return outs, acks
+	}
+	waitFor(t, "probe records fed to wren", func() bool {
+		outs, acks := count()
+		return outs >= 10 && acks > 0
+	})
 
 	if got := sink.count(); got != 0 {
 		t.Fatalf("probe frames delivered to a VM: %d", got)
@@ -42,17 +61,7 @@ func TestProbeTrainDiesAtPeerAndFeedsWren(t *testing.T) {
 			bs.FramesDelivered, bs.FramesForwarded)
 	}
 
-	mu.Lock()
-	defer mu.Unlock()
-	var outs, acks int
-	for _, r := range recs {
-		switch {
-		case r.Dir == pcap.Out && !r.IsAck:
-			outs++
-		case r.Dir == pcap.In && r.IsAck:
-			acks++
-		}
-	}
+	outs, acks := count()
 	if outs != 10 {
 		t.Fatalf("wren saw %d probe departures, want 10", outs)
 	}

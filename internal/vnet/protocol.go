@@ -29,17 +29,32 @@ const maxMessage = 1 << 16
 // it bounds flooding loops when redundant links exist.
 const DefaultTTL = 8
 
-// writeMessage frames and writes one message.
-func writeMessage(w io.Writer, typ byte, payload []byte) error {
+// msgHeaderLen is the [type:1][length:4] prefix of every link message.
+const msgHeaderLen = 5
+
+// appendMessage appends one framed link message, [typ][len:4][payload],
+// to dst. It is the one framing encoder: the TCP and virtual-UDP
+// transports both assemble a whole message and hand it to the socket in
+// a single call, so a message is one write syscall (and, with Go's
+// default TCP_NODELAY, one segment rather than a header segment plus a
+// payload segment).
+func appendMessage(dst []byte, typ byte, payload []byte) ([]byte, error) {
 	if len(payload) > maxMessage {
-		return fmt.Errorf("vnet: message %d bytes exceeds limit", len(payload))
+		return dst, fmt.Errorf("vnet: message %d bytes exceeds limit", len(payload))
 	}
-	hdr := [5]byte{typ}
-	binary.BigEndian.PutUint32(hdr[1:], uint32(len(payload)))
-	if _, err := w.Write(hdr[:]); err != nil {
+	dst = append(dst, typ, 0, 0, 0, 0)
+	binary.BigEndian.PutUint32(dst[len(dst)-4:], uint32(len(payload)))
+	return append(dst, payload...), nil
+}
+
+// writeMessage frames one message into a fresh buffer and writes it in one
+// call (handshake path; link transports reuse a scratch buffer instead).
+func writeMessage(w io.Writer, typ byte, payload []byte) error {
+	buf, err := appendMessage(nil, typ, payload)
+	if err != nil {
 		return err
 	}
-	_, err := w.Write(payload)
+	_, err = w.Write(buf)
 	return err
 }
 
@@ -51,14 +66,21 @@ func readMessage(r io.Reader) (typ byte, payload []byte, err error) {
 }
 
 // readMessageInto reads one message into bufp's backing array, growing it
-// when the message is larger than its capacity. The returned payload
-// aliases *bufp; callers reuse the buffer across messages unless the
-// payload escaped downstream.
+// when the message is larger than its capacity. The header is read into
+// the same array (a separate header array would escape through the
+// io.Reader call: one allocation per message). The returned payload
+// aliases *bufp and never r's own buffer, so it stays valid when r is a
+// bufio.Reader that refills; callers reuse *bufp across messages unless
+// the payload escaped downstream.
 func readMessageInto(r io.Reader, bufp *[]byte) (typ byte, payload []byte, err error) {
-	var hdr [5]byte
-	if _, err = io.ReadFull(r, hdr[:]); err != nil {
+	if cap(*bufp) < msgHeaderLen {
+		*bufp = make([]byte, msgHeaderLen)
+	}
+	hdr := (*bufp)[:msgHeaderLen]
+	if _, err = io.ReadFull(r, hdr); err != nil {
 		return 0, nil, err
 	}
+	typ = hdr[0]
 	n := binary.BigEndian.Uint32(hdr[1:])
 	if n > maxMessage {
 		return 0, nil, fmt.Errorf("vnet: message length %d exceeds limit", n)
@@ -70,5 +92,5 @@ func readMessageInto(r io.Reader, bufp *[]byte) (typ byte, payload []byte, err e
 	if _, err = io.ReadFull(r, payload); err != nil {
 		return 0, nil, err
 	}
-	return hdr[0], payload, nil
+	return typ, payload, nil
 }

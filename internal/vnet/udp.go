@@ -82,19 +82,13 @@ type udpTransport struct {
 }
 
 func (t *udpTransport) send(typ byte, payload []byte) error {
-	if len(payload)+5 > maxDatagram {
+	if len(payload)+msgHeaderLen > maxDatagram {
 		return fmt.Errorf("vnet: udp message %d bytes exceeds datagram limit", len(payload))
 	}
 	t.sendMu.Lock()
-	n := 5 + len(payload)
-	if cap(t.sendBuf) < n {
-		t.sendBuf = make([]byte, n)
-	}
-	buf := t.sendBuf[:n]
-	buf[0] = typ
-	binary.BigEndian.PutUint32(buf[1:5], uint32(len(payload)))
-	copy(buf[5:], payload)
-	_, err := t.sock.WriteToUDP(buf, t.raddr)
+	// appendMessage cannot fail here: maxDatagram is below maxMessage.
+	t.sendBuf, _ = appendMessage(t.sendBuf[:0], typ, payload)
+	_, err := t.sock.WriteToUDP(t.sendBuf, t.raddr)
 	t.sendMu.Unlock()
 	t.tx.Inc()
 	return err
